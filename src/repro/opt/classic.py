@@ -262,14 +262,15 @@ def dead_code_elimination(graph: ProgramGraph) -> int:
     total = 0
     while True:
         liveness = compute_liveness(graph)
+        masks = liveness.index.masks
         removed = 0
         for nid, node in graph.nodes.items():
-            live_out = liveness.live_out[nid]
+            live_out = liveness.live_out_masks[nid]
             survivors = []
             for ins in node.ops:
                 if ins.dest is None or ins.has_side_effects or ins.is_call:
                     survivors.append(ins)
-                elif ins.dest in live_out:
+                elif masks(ins)[1] & live_out:
                     survivors.append(ins)
                 else:
                     removed += 1

@@ -227,8 +227,8 @@ class ProgramGen:
                          + ["int main() {"] + body + ["}"])
 
 
-def generate_case(case: int) -> str:
-    rng = random.Random(BASE_SEED * 1_000_003 + case)
+def generate_case(case: int, base_seed: int = BASE_SEED) -> str:
+    rng = random.Random(base_seed * 1_000_003 + case)
     return ProgramGen(rng, with_call=case % 2 == 1).generate()
 
 

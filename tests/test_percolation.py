@@ -10,7 +10,9 @@ from repro.ir.ops import Op
 from repro.ir.values import ArraySymbol, Constant, VirtualReg
 from repro.opt.percolation import (CompactionStats, compact_graph,
                                    delete_empty_nodes)
+from repro.opt.pipeline import OptLevel, optimize_module
 from repro.sim.machine import run_module
+from repro.suite import get_benchmark
 
 from tests.conftest import FIR_LIKE_SOURCE, fir_like_inputs
 
@@ -119,6 +121,17 @@ class TestCompactionEffect:
         compact_graph(g)
         second = compact_graph(g)
         assert second.moves == 0 and second.renames == 0
+
+    def test_pass_cap_truncates_smooth_level2(self):
+        # Pins today's behaviour, not a goal: smooth's level-2 main runs
+        # out of passes before its fixpoint, so a second compaction still
+        # finds moves.  Lifting the cap changes the paper tables.
+        gm, report = optimize_module(
+            compile_source(get_benchmark("smooth").source, "smooth"),
+            OptLevel.RENAMED)
+        assert report.compaction["main"].passes == 64
+        again = compact_graph(gm.graphs["main"], rename=True)
+        assert again.moves > 0
 
 
 class TestLegalityRules:
