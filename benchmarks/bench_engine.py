@@ -179,44 +179,6 @@ def test_sim_batch_lanes(benchmark, name, level):
     assert len(results) == len(BATCH_SEEDS)
 
 
-#: Load-heavy kernels where the range analysis proves the most bounds
-#: guards away — the guard-elimination acceptance legs.  Each
-#: ``ranges_off`` leg is the denominator of the speedup recorded by the
-#: matching ``ranges_on`` leg.
-GUARD_ELIM_BENCHES = ("fir", "iir", "smooth")
-
-
-def _guard_elim_cell(name):
-    spec = get_benchmark(name)
-    gm, _ = optimize_module(compile_benchmark(spec), OptLevel(2))
-    return gm, spec.generate_inputs(0)
-
-
-@pytest.mark.parametrize("name", GUARD_ELIM_BENCHES)
-def test_sim_codegen_ranges_off(benchmark, name, monkeypatch):
-    """Fully guarded codegen run (REPRO_RANGES=0): every subscripted
-    load keeps its bounds check."""
-    monkeypatch.setenv("REPRO_RANGES", "0")
-    gm, inputs = _guard_elim_cell(name)
-    run_module(gm, inputs, engine="codegen")  # generate once outside
-    result = benchmark(run_module, gm, inputs, engine="codegen")
-    assert result.cycles > 500
-
-
-@pytest.mark.parametrize("name", GUARD_ELIM_BENCHES)
-def test_sim_codegen_ranges_on(benchmark, name, monkeypatch):
-    """Guard-eliminated codegen run: SAFE-proved loads go out
-    unguarded under a verified certificate.  The ratio against
-    ``test_sim_codegen_ranges_off[name]`` is the recorded win."""
-    monkeypatch.delenv("REPRO_RANGES", raising=False)
-    gm, inputs = _guard_elim_cell(name)
-    from repro.sim.codegen import generate_module
-    assert generate_module(gm).bounds is not None  # elision active
-    run_module(gm, inputs, engine="codegen")
-    result = benchmark(run_module, gm, inputs, engine="codegen")
-    assert result.cycles > 500
-
-
 def test_simulator_compile_cost(benchmark, edge_module):
     """Cost of one cold compilation (paid once per module thanks to the
     on-module cache)."""

@@ -1,15 +1,11 @@
-"""Value-range abstract interpretation with proof-carrying bounds certificates.
+"""Value-range abstract interpretation: static bounds verdicts.
 
 An interval-domain abstract interpreter over the lowered word CFG
 (:func:`repro.analysis.cfg.build_word_cfg`).  Per register slot the domain
 tracks *defined-integer intervals*: an environment entry ``slot -> (lo, hi)``
 claims the register holds a defined ``int`` (or ``bool``) value within the
 closed interval — ``None`` on either side means unbounded.  An absent entry
-is top (any value, possibly ``_UNDEF`` or a float).  Integer-ness is the
-load-bearing half of the claim: it is what makes ``arr.data[index]`` on a
-proven index bit-identical to the guarded form the emitters otherwise
-produce (the guard on a proven-in-bounds defined ``int`` index always takes
-its then-branch).
+is top (any value, possibly ``_UNDEF`` or a float).
 
 The analysis runs the classic Cousot widening/narrowing recipe: a worklist
 fixpoint in reverse postorder with widening (threshold 0) at the targets of
@@ -22,27 +18,20 @@ everything else about a callee is conservatively top.
 
 Global scalars (size-1 global arrays carrying an initializer) that no word
 in the whole module can ever write become *premises*: the analysis may
-assume their initializer value, and every artifact that relies on a premise
-records it in its certificate.  Premises are validated twice — statically
-by :func:`check_bounds_payload` (initializer matches, scalar is genuinely
-unwritable) and dynamically at run entry (the engines compare the bound
-globals against the premise values and fall back to the guarded build on
-any mismatch), so speculative guard elimination never changes behavior.
+assume their initializer value (the program as compiled, with its default
+inputs), and :attr:`ModuleRanges.premises` records which ones a result
+relies on.
 
 From the fixpoint every subscripted load/store gets a :class:`BoundsProof`
-classifying it SAFE / UNSAFE / UNKNOWN against the array's length.  SAFE
-*loads* may be emitted unguarded by the codegen and lanes tiers; the
-certificate (claimed invariant environments + safe word indices + premises)
-travels in the cached payload, and :func:`check_bounds_payload` re-derives
-every fact from the certificate's premises — entry coverage, per-edge
-inductiveness, and the in-bounds conclusion — without trusting the
-analyzer's fixpoint, widening or summaries.
+classifying it SAFE / UNSAFE / UNKNOWN against the array's length.  The
+verdicts are a verifier only (``repro verify --ranges``, where any UNSAFE
+access fails statically); no engine consults them, so the analysis never
+runs on the code-generation path.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -51,14 +40,6 @@ from repro.sim import engine as _eng
 from repro.sim.codegen import (_BINF, _MOV_CONSTS, _MOV_REGS, _RETS,
                                _STORES, _STORES_D)
 from repro.sim.values import int_div, int_mod, shift_left, shift_right
-
-#: Environment variable disabling proof-carrying guard elimination.
-RANGES_ENV_VAR = "REPRO_RANGES"
-
-
-def ranges_enabled() -> bool:
-    """True unless ``REPRO_RANGES=0`` (the escape hatch)."""
-    return os.environ.get(RANGES_ENV_VAR, "").strip() != "0"
 
 
 # -- the interval domain -----------------------------------------------------------
@@ -202,20 +183,6 @@ def _access_of(word: list) -> Optional[Tuple[str, int, str, object]]:
     if op in _STORES_D:
         return ("store", word[1], _STORES_D[op][0], word[2])
     return None
-
-
-def load_key(word: list) -> Optional[Tuple[int, str, object]]:
-    """Emission key of a load word: ``(array_slot, index_kind, payload)``.
-
-    Two loads with the same key render to the same array/index source
-    text in both emitters, so guard elision (and the verifier's
-    acceptance of the unguarded shape) is decided per key: a key is
-    elidable only when *every* load word carrying it is proven SAFE.
-    """
-    acc = _access_of(word)
-    if acc is None or acc[0] != "load":
-        return None
-    return (acc[1], acc[2], acc[3])
 
 
 # -- per-graph analysis context ----------------------------------------------------
@@ -553,9 +520,9 @@ def array_lengths(lg, module) -> Dict[int, Optional[int]]:
     """Array slot -> length, resolved against the *live* module.
 
     Local arrays resolve by name through the live graph's symbol list and
-    globals through ``module.global_arrays``, so a tampered payload plan
-    cannot inflate a length; parameter and missing-array slots have no
-    known length and can never prove anything.
+    globals through ``module.global_arrays``, so a stale or damaged
+    lowered plan cannot inflate a length; parameter and missing-array
+    slots have no known length and can never prove anything.
     """
     live = module.graphs.get(lg.name)
     local_sizes = {} if live is None else {
@@ -626,34 +593,20 @@ def stable_global_scalars(module, graphs) -> Dict[str, int]:
     return candidates
 
 
-def premises_hold(premises: Dict[str, int], globals_) -> bool:
-    """Runtime validation: every premise scalar still carries its
-    analyzed value in the bound globals (inputs may override any global
-    array, including a scalar's one-element cell)."""
-    for name in sorted(premises):
-        storage = globals_.get(name)
-        if storage is None or not storage.data \
-            or storage.data[0] != premises[name]:
-            return False
-    return True
-
-
 # -- the fixpoint ------------------------------------------------------------------
 
 
 class GraphRanges:
     """Analysis result for one lowered graph."""
 
-    __slots__ = ("name", "envs", "proofs", "safe_loads", "ret_interval",
-                 "used_premises")
+    __slots__ = ("name", "envs", "proofs", "ret_interval", "used_premises")
 
     def __init__(self, name: str, envs: Dict[int, Dict[int, Tuple]],
-                 proofs: List[BoundsProof], safe_loads: Set[int],
-                 ret_interval: Tuple, used_premises: Set[str]):
+                 proofs: List[BoundsProof], ret_interval: Tuple,
+                 used_premises: Set[str]):
         self.name = name
         self.envs = envs
         self.proofs = proofs
-        self.safe_loads = safe_loads
         self.ret_interval = ret_interval
         self.used_premises = used_premises
 
@@ -737,7 +690,7 @@ def analyze_graph(lg, module, scalar_values: Dict[str, int],
                     if gname in scalar_values}
     ctx = _Ctx(lengths, scalar_slots, summaries)
 
-    empty = GraphRanges(lg.name, {}, [], set(), TOP, set())
+    empty = GraphRanges(lg.name, {}, [], TOP, set())
     if cfg.entry < 0:
         return empty
 
@@ -805,7 +758,6 @@ def analyze_graph(lg, module, scalar_values: Dict[str, int],
 
     names = _array_names(lg)
     proofs: List[BoundsProof] = []
-    safe_loads: Set[int] = set()
     member_count = len([w for w in lg.words if isinstance(w, list)])
     for i in range(member_count):
         if i not in in_env:
@@ -824,8 +776,6 @@ def analyze_graph(lg, module, scalar_values: Dict[str, int],
         cls = _classify(index, length)
         proofs.append(BoundsProof(i, kind, names.get(array_slot),
                                   array_slot, index, length, cls))
-        if cls == SAFE and kind == "load":
-            safe_loads.add(i)
 
     ret = None
     for i in range(member_count):
@@ -848,8 +798,7 @@ def analyze_graph(lg, module, scalar_values: Dict[str, int],
 
     envs = {i: env for i, env in in_env.items()
             if env and i < member_count}
-    return GraphRanges(lg.name, envs, proofs, safe_loads, ret,
-                       set(ctx.used_premises))
+    return GraphRanges(lg.name, envs, proofs, ret, set(ctx.used_premises))
 
 
 class ModuleRanges:
@@ -934,249 +883,3 @@ def analyze_module(module) -> ModuleRanges:
     """Lower *module* (cached) and run the range analysis."""
     from repro.sim.engine import lower_module
     return analyze_lowered(module, lower_module(module))
-
-
-# -- certificates ------------------------------------------------------------------
-
-
-def elidable_loads(lg, safe_loads: Set[int]) -> Set[int]:
-    """SAFE load word indices whose emission key is *entirely* safe.
-
-    The emitters and the verifier agree on this closure: a key shared by
-    a proven and an unproven load keeps its guards everywhere, so an
-    unguarded occurrence in the source is only ever legal when every
-    word that could have produced it carries a verified proof.
-    """
-    groups: Dict[Tuple, List[int]] = {}
-    for i, word in enumerate(lg.words):
-        if not isinstance(word, list):
-            continue
-        key = load_key(word)
-        if key is not None:
-            groups.setdefault(key, []).append(i)
-    out: Set[int] = set()
-    for indices in groups.values():
-        if all(i in safe_loads for i in indices):
-            out.update(indices)
-    return out
-
-
-def module_certificates(lowered, ranges: ModuleRanges) -> Dict[str, object]:
-    """The ``"bounds"`` payload entry: per-graph claimed invariant
-    environments, elidable-safe word indices, return summaries, and the
-    global-scalar premises the proofs assume."""
-    graphs_cert: Dict[str, Dict[str, object]] = {}
-    for name, lg in lowered.graphs.items():
-        granges = ranges.graphs.get(name)
-        if granges is None:
-            continue
-        safe = elidable_loads(lg, granges.safe_loads)
-        envs = {idx: {slot: list(iv) for slot, iv in sorted(env.items())}
-                for idx, env in sorted(granges.envs.items())}
-        graphs_cert[name] = {"envs": envs, "safe": sorted(safe),
-                             "ret": list(granges.ret_interval)}
-    return {"premises": dict(ranges.premises), "graphs": graphs_cert}
-
-
-# -- the independent checker -------------------------------------------------------
-
-
-def _valid_interval(iv) -> bool:
-    if not isinstance(iv, (list, tuple)) or len(iv) != 2:
-        return False
-    lo, hi = iv
-    for side in (lo, hi):
-        if side is not None and (_int_const(side) is None):
-            return False
-    return not (lo is not None and hi is not None and lo > hi)
-
-
-def _check_premises(module, graphs, premises, problems: List[str]) -> bool:
-    if not isinstance(premises, dict):
-        problems.append("premises: not a mapping")
-        return False
-    names = sorted(premises)
-    for name in names:
-        value = premises[name]
-        if not isinstance(name, str) or _int_const(value) is None:
-            problems.append(f"premises: malformed entry {name!r}")
-            return False
-    stable = stable_global_scalars(module, graphs)
-    for name in names:
-        if stable.get(name) != premises[name]:
-            problems.append(
-                f"premises: {name!r}={premises[name]!r} is not a "
-                f"provably-stable global scalar of this module")
-            return False
-    return True
-
-
-def check_graph_proof(lg, module, cert, premises: Dict[str, int],
-                      summaries: Dict[str, Tuple],
-                      problems: List[str]) -> Set[int]:
-    """Re-derive one graph's certificate from its premises.
-
-    Validates entry coverage (no claims about the initial state), the
-    inductiveness of every claimed environment along every CFG edge
-    (re-running the single-word transfer and branch refinement — never
-    the analyzer's fixpoint), the return summary, and finally the
-    in-bounds conclusion of every claimed-safe load against array
-    lengths resolved from the live module.  Returns the verified safe
-    word indices; any discrepancy is reported and verification fails.
-    """
-    name = lg.name
-    envs_claim = cert.get("envs")
-    safe_claim = cert.get("safe")
-    ret_claim = cert.get("ret", [None, None])
-    if not isinstance(envs_claim, dict) or not isinstance(safe_claim, list):
-        problems.append(f"{name}: malformed certificate")
-        return set()
-    if not _valid_interval(ret_claim):
-        problems.append(f"{name}: malformed return summary")
-        return set()
-    cfg = build_word_cfg(lg)
-    words = cfg.words
-    index_of = {id(word): i for i, word in enumerate(words)}
-    member_count = len([w for w in lg.words if isinstance(w, list)])
-
-    claimed: Dict[int, Dict[int, Tuple]] = {}
-    for idx, env in sorted(envs_claim.items()):
-        if not isinstance(idx, int) or not 0 <= idx < member_count \
-                or not isinstance(env, dict):
-            problems.append(f"{name}: malformed environment claim "
-                            f"at word {idx!r}")
-            return set()
-        checked: Dict[int, Tuple] = {}
-        for slot, iv in sorted(env.items()):
-            if not isinstance(slot, int) or not _valid_interval(iv):
-                problems.append(f"{name}: malformed interval for slot "
-                                f"{slot!r} at word {idx}")
-                return set()
-            checked[slot] = (iv[0], iv[1])
-        claimed[idx] = checked
-
-    lengths = array_lengths(lg, module)
-    scalar_slots = {slot: (gname, premises[gname])
-                    for slot, gname in lg.global_plan if gname in premises}
-    ctx = _Ctx(lengths, scalar_slots, summaries)
-    predicates: Dict[int, Optional[Tuple]] = {}
-    for i, word in enumerate(words):
-        if word[0] == _eng.BR:
-            predicates[i] = _branch_predicate(words, cfg.preds, i)
-
-    def env_at(idx: int) -> Dict[int, Tuple]:
-        return claimed.get(idx, {})
-
-    if cfg.entry < 0:
-        if safe_claim:
-            problems.append(f"{name}: safe claims in a graph with "
-                            f"no entry")
-        return set()
-    if claimed.get(cfg.entry):
-        problems.append(f"{name}: certificate constrains the entry "
-                        f"state")
-        return set()
-
-    reachable = sorted(cfg.reachable)
-    for u in reachable:
-        for v, env_v in _flow(words, u, env_at(u), ctx, index_of,
-                              predicates):
-            if env_v is None:
-                continue
-            target_claim = claimed.get(v)
-            if not target_claim:
-                continue
-            if not _env_leq(env_v, target_claim):
-                problems.append(
-                    f"{name}: claimed environment at word {v} is not "
-                    f"inductive along the edge from word {u}")
-                return set()
-
-    ret_iv = (ret_claim[0], ret_claim[1])
-    if ret_iv != TOP:
-        for i in reachable:
-            word = words[i]
-            op = word[0]
-            if op not in _RETS:
-                continue
-            if op == _eng.RET_C:
-                c = _int_const(word[1])
-                iv = None if c is None else (c, c)
-            elif op == _eng.RET_N:
-                iv = None
-            else:
-                iv = env_at(i).get(word[1])
-            if iv is None or not _within(iv, ret_iv):
-                problems.append(f"{name}: return summary {ret_iv} not "
-                                f"justified at word {i}")
-                return set()
-
-    verified: Set[int] = set()
-    for idx in safe_claim:
-        if not isinstance(idx, int) or not 0 <= idx < member_count \
-                or idx not in cfg.reachable:
-            problems.append(f"{name}: safe claim on invalid word "
-                            f"{idx!r}")
-            return set()
-        word = words[idx]
-        acc = _access_of(word)
-        if acc is None or acc[0] != "load":
-            problems.append(f"{name}: safe claim on non-load word {idx}")
-            return set()
-        _kind, array_slot, ikind, payload = acc
-        if ikind == "r":
-            index = env_at(idx).get(payload)
-        else:
-            c = _int_const(payload)
-            index = None if c is None else (c, c)
-        if _classify(index, lengths.get(array_slot)) != SAFE:
-            problems.append(
-                f"{name}: word {idx} is not provably in bounds "
-                f"(index {index}, length {lengths.get(array_slot)})")
-            return set()
-        verified.add(idx)
-    return verified
-
-
-def check_bounds_payload(module, graphs, bounds
-                         ) -> Tuple[Dict[str, Set[int]], List[str]]:
-    """Independently re-check a payload's ``"bounds"`` certificate.
-
-    Returns ``(verified safe load indices per graph, problems)`` — an
-    empty problem list means every claim was re-derived.  The checker
-    trusts only the certificate's premises (which it validates against
-    the live module) and the claimed environments' own inductiveness;
-    claimed return summaries are usable by callers precisely because
-    each graph's summary is itself checked against that graph's claimed
-    environments (sound by induction on call depth).
-    """
-    problems: List[str] = []
-    if not isinstance(bounds, dict):
-        return {}, ["bounds: not a mapping"]
-    premises = bounds.get("premises", {})
-    graph_certs = bounds.get("graphs", {})
-    if not isinstance(graph_certs, dict):
-        return {}, ["bounds: malformed graph certificates"]
-    if not _check_premises(module, graphs, premises, problems):
-        return {}, problems
-    summaries: Dict[str, Tuple] = {}
-    for name in graphs:
-        cert = graph_certs.get(name)
-        if isinstance(cert, dict):
-            ret = cert.get("ret", [None, None])
-            if _valid_interval(ret):
-                summaries[name] = (ret[0], ret[1])
-    verified: Dict[str, Set[int]] = {}
-    for name, lg in graphs.items():
-        cert = graph_certs.get(name)
-        if cert is None:
-            verified[name] = set()
-            continue
-        if not isinstance(cert, dict):
-            problems.append(f"{name}: malformed certificate")
-            return {}, problems
-        verified[name] = check_graph_proof(lg, module, cert, premises,
-                                           summaries, problems)
-        if problems:
-            return {}, problems
-    return verified, problems

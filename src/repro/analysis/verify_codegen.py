@@ -438,12 +438,8 @@ def _match_bounds_guard(test: ast.expr) -> Optional[Tuple[str, str]]:
 
 
 def _check_bounds_guards(fn: ast.FunctionDef, result: VerifyResult,
-                         gname: str,
-                         proven: frozenset = frozenset()) -> None:
-    """Every ``ARR.data[IDX]`` read must sit under a matching guard —
-    unless its ``(array name, index dump)`` key is in *proven*, the
-    textual keys whose bounds certificate the independent checker
-    re-validated (see :func:`_proven_load_keys`)."""
+                         gname: str) -> None:
+    """Every ``ARR.data[IDX]`` read must sit under a matching guard."""
     unguarded: List[int] = []
 
     def visit(node: ast.AST, guards: Tuple[Tuple[str, str], ...]) -> None:
@@ -462,7 +458,7 @@ def _check_bounds_guards(fn: ast.FunctionDef, result: VerifyResult,
                 and isinstance(node.value.value, ast.Name) \
                 and isinstance(node.ctx, ast.Load):
             key = (node.value.value.id, ast.dump(node.slice))
-            if key not in guards and key not in proven:
+            if key not in guards:
                 unguarded.append(getattr(node, "lineno", 0))
         for child in ast.iter_child_nodes(node):
             visit(child, guards)
@@ -471,7 +467,7 @@ def _check_bounds_guards(fn: ast.FunctionDef, result: VerifyResult,
         visit(stmt, ())
     result.check(not unguarded, "unguarded-load",
                  f"{fn.name}: .data reads at line(s) {unguarded[:5]} "
-                 f"lack a matching bounds guard or a verified proof",
+                 "lack a matching bounds guard",
                  gname)
 
 
@@ -546,363 +542,12 @@ def check_reconvergence(lg, starts: Iterable[int],
                      f"{p}) is not a lanes block start", lg.name)
 
 
-# -- proof-carrying guard elimination ----------------------------------------------
-
-
-def _index_dump(text: str) -> Optional[str]:
-    try:
-        return ast.dump(ast.parse(text, mode="eval").body)
-    except SyntaxError:
-        return None
-
-
-def _proven_load_keys(lg, verified_safe, lanes: bool) -> Tuple[
-        frozenset, frozenset]:
-    """``(textual keys, array slots)`` of the guard-elidable loads.
-
-    A key is elidable only when *every* load word sharing it carries a
-    verified proof (the emitters apply the same closure), so a single
-    unguarded occurrence in the source never smuggles in an unproven
-    sibling with identical text.  Keys are rendered exactly as each
-    emitter renders them: ``a{k}``/``r{s}``/``t{s}`` for the codegen
-    tier, ``w{k}``/``v{s}``/``u{s}`` for lanes.
-    """
-    from repro.analysis.ranges import elidable_loads, load_key
-    elided = elidable_loads(lg, set(verified_safe))
-    members = [w for w in lg.words if isinstance(w, list)]
-    keys = set()
-    slots = set()
-    for idx in sorted(elided):
-        array_slot, ikind, payload = load_key(members[idx])
-        array = f"w{array_slot}" if lanes else f"a{array_slot}"
-        if ikind == "r":
-            if lanes:
-                index = f"v{payload}" if payload >= 0 else f"u{-payload}"
-            else:
-                index = f"r{payload}" if payload >= 0 else f"t{-payload}"
-        else:
-            index = repr(payload)
-        dump = _index_dump(index)
-        if dump is None:
-            continue
-        keys.add((array, dump))
-        slots.add(array_slot)
-    return frozenset(keys), frozenset(slots)
-
-
-def _collect_bindings(fn: ast.FunctionDef) -> Dict[str, List[ast.AST]]:
-    """Every construct that (re)binds or deletes a local name, keyed by
-    name.  Object mutations through a subscript or attribute
-    (``a3[ln] = ...``, ``state.depth = ...``) do not rebind the name and
-    are collected separately by :func:`_element_stores` and
-    :func:`_mutation_paths`.
-    """
-    out: Dict[str, List[ast.AST]] = {}
-
-    def record(target: ast.AST, node: ast.AST) -> None:
-        if isinstance(target, ast.Name):
-            out.setdefault(target.id, []).append(node)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                record(elt, node)
-        elif isinstance(target, ast.Starred):
-            record(target.value, node)
-
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                record(target, node)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
-            record(node.target, node)
-        elif isinstance(node, ast.NamedExpr):
-            record(node.target, node)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            if node is not fn:
-                out.setdefault(node.name, []).append(node)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                out.setdefault(bound, []).append(node)
-        elif isinstance(node, ast.withitem):
-            if node.optional_vars is not None:
-                record(node.optional_vars, node)
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                record(target, node)
-        elif isinstance(node, ast.ExceptHandler):
-            if node.name:
-                out.setdefault(node.name, []).append(node)
-        elif isinstance(node, (ast.Global, ast.Nonlocal)):
-            for bound in node.names:
-                out.setdefault(bound, []).append(node)
-    return out
-
-
-def _element_stores(fn: ast.FunctionDef) -> Dict[str, List[ast.Assign]]:
-    """Assignments through a subscript (``name[i] = ...``), by name."""
-    out: Dict[str, List[ast.Assign]] = {}
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript) \
-                        and isinstance(target.value, ast.Name):
-                    out.setdefault(target.value.id, []).append(node)
-    return out
-
-
-def _mutation_paths(fn: ast.FunctionDef) -> Dict[
-        str, List[Tuple[Tuple, ast.AST]]]:
-    """Object mutations by root name: stores or deletes whose target is
-    an attribute/subscript chain (``a3.data[i] = v``,
-    ``state.depth = d``, ``del _g['A']``).  Each entry is the chain as a
-    tuple of steps outermost-root-first — ``('attr', name)`` or
-    ``('sub', slice_node)`` — so callers can whitelist the exact shapes
-    the emitters produce.
-    """
-    out: Dict[str, List[Tuple[Tuple, ast.AST]]] = {}
-
-    def record(target: ast.AST, node: ast.AST) -> None:
-        steps: List[Tuple] = []
-        base = target
-        while True:
-            if isinstance(base, ast.Attribute):
-                steps.append(("attr", base.attr))
-                base = base.value
-            elif isinstance(base, ast.Subscript):
-                steps.append(("sub", base.slice))
-                base = base.value
-            else:
-                break
-        if steps and isinstance(base, ast.Name):
-            out.setdefault(base.id, []).append(
-                (tuple(reversed(steps)), node))
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                record(elt, node)
-        elif isinstance(target, ast.Starred):
-            record(target.value, node)
-
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                record(target, node)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
-            record(node.target, node)
-        elif isinstance(node, ast.NamedExpr):
-            record(node.target, node)
-        elif isinstance(node, ast.withitem):
-            if node.optional_vars is not None:
-                record(node.optional_vars, node)
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                record(target, node)
-    return out
-
-
-def _plain_element(steps: Tuple) -> bool:
-    """``('sub', <non-slice>)`` — a single-element store, which can
-    never change the storage's length."""
-    return (len(steps) == 1 and steps[0][0] == "sub"
-            and not isinstance(steps[0][1], (ast.Slice, ast.Tuple)))
-
-
-def _data_element(steps: Tuple) -> bool:
-    """``('attr', 'data'), ('sub', <non-slice>)`` — the emitters' store
-    form ``a3.data[i] = v``; slice targets could shrink the list."""
-    return (len(steps) == 2 and steps[0] == ("attr", "data")
-            and steps[1][0] == "sub"
-            and not isinstance(steps[1][1], (ast.Slice, ast.Tuple)))
-
-
-def _is_name_sub(node: ast.AST, base: str, key: str) -> bool:
-    """Match ``base[<key constant>]``."""
-    return (isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == base
-            and isinstance(node.slice, ast.Constant)
-            and node.slice.value == key)
-
-
-def _storage_call_symbol(value: ast.AST, consts: Dict[str, object],
-                         fn_name: str):
-    """The consts object of an ``ArrayStorage(K<i>)`` call, else None."""
-    if not (isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "ArrayStorage"
-            and len(value.args) == 1 and not value.keywords
-            and isinstance(value.args[0], ast.Name)):
-        return None
-    kname = value.args[0].id
-    if not isinstance(consts, dict):
-        return None
-    return consts.get(f"_{fn_name}_{kname}")
-
-
-def _check_elided_bindings(fn: ast.FunctionDef, lg, module,
-                           consts: Dict[str, object],
-                           elided_slots: frozenset, lanes: bool,
-                           result: VerifyResult, gname: str) -> bool:
-    """The unguarded-load soundness contract beyond the certificate:
-    every array a proof was verified against must be bound in the
-    source exactly as the emitter binds it, so the storage the elided
-    load reads is the one whose live length the checker used.
-
-    Checks, for each elided array slot: the slot is a local or global
-    of the lowered plan; its binding statements match the emitter's
-    exact prologue shape (``ArrayStorage(K<i>)`` of a consts symbol
-    whose name *and size* match the live module, or a lookup of the
-    plan's global name in ``state.globals``/``state.global_arrays``);
-    and none of the names the binding chain rests on (``state``,
-    ``ArrayStorage``, ``_g``/``_ga``, the arrays themselves, the lanes
-    ``w<k>`` views) is rebound anywhere else in the function.
-    """
-    if not elided_slots:
-        return True
-    bindings = _collect_bindings(fn)
-    elem = _element_stores(fn)
-    mutations = _mutation_paths(fn)
-    live = module.graphs.get(lg.name)
-    live_locals = {} if live is None else {
-        arr.name: arr for arr in live.local_arrays}
-    local_of = dict(lg.local_plan)
-    global_of = dict(lg.global_plan)
-    failures: List[str] = []
-
-    def fail(message: str) -> None:
-        failures.append(message)
-
-    for name in ("state", "ArrayStorage"):
-        if bindings.get(name):
-            fail(f"{name!r} is rebound")
-    for steps, node in mutations.get("state", ()):
-        # the emitters mutate only the recursion-depth counter; a store
-        # through state.globals/state.global_arrays could swap a storage
-        # out from under an elided load
-        if isinstance(node, ast.Delete) or steps != (("attr", "depth"),):
-            fail("'state' is mutated beyond state.depth")
-    gref = "_ga" if lanes else "_g"
-    gref_attr = "global_arrays" if lanes else "globals"
-    if mutations.get(gref):
-        fail(f"{gref!r} is mutated")
-    for node in bindings.get(gref, ()):
-        ok = (isinstance(node, ast.Assign) and len(node.targets) == 1
-              and isinstance(node.value, ast.Attribute)
-              and node.value.attr == gref_attr
-              and isinstance(node.value.value, ast.Name)
-              and node.value.value.id == "state")
-        if not ok:
-            fail(f"{gref!r} bound to something other than "
-                 f"state.{gref_attr}")
-
-    def check_storage_symbol(value: ast.AST, slot: int) -> None:
-        symbol = local_of[slot]
-        obj = _storage_call_symbol(value, consts, fn.name)
-        live_sym = live_locals.get(symbol.name)
-        if obj is None:
-            fail(f"a{slot} is not built with ArrayStorage(K<i>)")
-        elif live_sym is None:
-            fail(f"a{slot}: local array {symbol.name!r} does not exist "
-                 f"in the live module")
-        elif getattr(obj, "name", None) != symbol.name \
-                or getattr(obj, "size", None) != live_sym.size:
-            fail(f"a{slot}: bound symbol "
-                 f"{getattr(obj, 'name', None)!r} size "
-                 f"{getattr(obj, 'size', None)!r} does not match live "
-                 f"array {symbol.name!r} size {live_sym.size}")
-
-    for slot in sorted(elided_slots):
-        aname = f"a{slot}"
-        abinds = bindings.get(aname, [])
-        if slot in local_of:
-            if lanes:
-                if not (len(abinds) == 1
-                        and isinstance(abinds[0], ast.Assign)
-                        and isinstance(abinds[0].value, ast.BinOp)
-                        and isinstance(abinds[0].value.op, ast.Mult)):
-                    fail(f"{aname}: lane local not bound to a "
-                         f"[None] * L list")
-                stores = elem.get(aname, [])
-                if not stores:
-                    fail(f"{aname}: no per-lane ArrayStorage stores")
-                for node in stores:
-                    check_storage_symbol(node.value, slot)
-            else:
-                if len(abinds) != 1 \
-                        or not isinstance(abinds[0], ast.Assign):
-                    fail(f"{aname}: expected exactly one binding")
-                else:
-                    check_storage_symbol(abinds[0].value, slot)
-                if elem.get(aname):
-                    fail(f"{aname}: unexpected element stores")
-        elif slot in global_of:
-            expected = global_of[slot]
-            if module.global_arrays.get(expected) is None:
-                fail(f"{aname}: global {expected!r} does not exist in "
-                     f"the live module")
-            if len(abinds) != 1 or not isinstance(abinds[0], ast.Assign) \
-                    or not _is_name_sub(abinds[0].value, gref, expected):
-                fail(f"{aname}: not bound to {gref}[{expected!r}]")
-            if elem.get(aname):
-                fail(f"{aname}: unexpected element stores")
-        else:
-            fail(f"{aname}: elided load on a slot that is neither a "
-                 f"local nor a global array")
-        for steps, node in mutations.get(aname, ()):
-            # single-element stores can't change a storage's length;
-            # anything else (a3.data = ..., slice stores, deletes) can
-            allowed = (not isinstance(node, ast.Delete)
-                       and (_data_element(steps)
-                            or (lanes and _plain_element(steps))))
-            if not allowed:
-                fail(f"{aname}: mutated beyond single-element stores")
-        if lanes:
-            wname = f"w{slot}"
-            for steps, node in mutations.get(wname, ()):
-                if isinstance(node, ast.Delete) \
-                        or not _data_element(steps):
-                    fail(f"{wname}: mutated beyond .data element "
-                         f"stores")
-            wbinds = bindings.get(wname, [])
-            if not wbinds:
-                fail(f"{wname}: lane view never bound")
-            for node in wbinds:
-                ok = (isinstance(node, ast.Assign)
-                      and len(node.targets) == 1
-                      and isinstance(node.value, ast.Subscript)
-                      and isinstance(node.value.value, ast.Name)
-                      and node.value.value.id == aname
-                      and isinstance(node.value.slice, ast.Name))
-                if not ok:
-                    fail(f"{wname}: lane view bound to something other "
-                         f"than {aname}[<lane>]")
-    return result.check(
-        not failures, "elided-binding",
-        f"{fn.name}: {'; '.join(failures[:4])}", gname)
-
-
-def _verified_bounds(module, graphs: Dict[str, object], bounds,
-                     result: VerifyResult) -> Dict[str, set]:
-    """Re-check a payload's bounds certificate; any problem is a
-    violation and no load counts as proven."""
-    from repro.analysis.ranges import check_bounds_payload
-    if bounds is None:
-        return {name: set() for name in graphs}
-    verified, problems = check_bounds_payload(module, graphs, bounds)
-    for problem in problems[:8]:
-        result.check(False, "bounds-proof", problem)
-    if problems:
-        return {name: set() for name in graphs}
-    return verified
-
-
 # -- whole-source entry points -----------------------------------------------------
 
 
 def verify_generated_source(module, graphs: Dict[str, object], source: str,
                             consts: Dict[str, object], *,
                             lanes: bool = False, n_lanes: int = 2,
-                            bounds=None,
                             starts_override: Optional[Dict[str, List[int]]]
                             = None) -> VerifyResult:
     """AST-check emitted *source* against its lowered *graphs*."""
@@ -921,7 +566,6 @@ def verify_generated_source(module, graphs: Dict[str, object], source: str,
     namespace = _NAMESPACE_NAMES | set(consts if isinstance(consts, dict)
                                        else ())
     fn_of_graph = {g: f"_f{i}" for i, g in enumerate(graphs)}
-    verified_bounds = _verified_bounds(module, graphs, bounds, result)
     for i, (gname, lg) in enumerate(graphs.items()):
         fn_name = f"_f{i}"
         fn = defs.get(fn_name)
@@ -936,12 +580,7 @@ def verify_generated_source(module, graphs: Dict[str, object], source: str,
             _check_counter_folds(fn, counted, result, gname)
         else:
             _check_counter_writeback(fn, counted, result, gname)
-        proven, elided_slots = _proven_load_keys(
-            lg, verified_bounds.get(gname, set()), lanes)
-        if not _check_elided_bindings(fn, lg, module, consts,
-                                      elided_slots, lanes, result, gname):
-            proven = frozenset()
-        _check_bounds_guards(fn, result, gname, proven)
+        _check_bounds_guards(fn, result, gname)
         starts = (starts_override or {}).get(gname)
         if starts is None:
             starts = _emitter_starts(lg, lanes, n_lanes, fn_of_graph)
@@ -958,7 +597,7 @@ def verify_generated_module(module, generated) -> VerifyResult:
     result = verify_lowered_module(module, generated.lowered)
     result.merge(verify_generated_source(
         module, generated.lowered.graphs, generated.source,
-        generated.consts, lanes=False, bounds=generated.bounds))
+        generated.consts, lanes=False))
     return result
 
 
@@ -968,8 +607,7 @@ def verify_lane_module(module, lane_module) -> VerifyResult:
     result = verify_lowered_module(module, lane_module.lowered)
     result.merge(verify_generated_source(
         module, lane_module.lowered.graphs, lane_module.source,
-        lane_module.consts, lanes=True, n_lanes=lane_module.n_lanes,
-        bounds=lane_module.bounds))
+        lane_module.consts, lanes=True, n_lanes=lane_module.n_lanes))
     return result
 
 
@@ -1008,7 +646,7 @@ def verify_codegen_payload(module, payload) -> VerifyResult:
     result.merge(verify_lowered_module(module, payload["graphs"]))
     result.merge(verify_generated_source(
         module, payload["graphs"], payload["source"], payload["consts"],
-        lanes=False, bounds=payload.get("bounds")))
+        lanes=False))
     return result
 
 
@@ -1025,5 +663,5 @@ def verify_lanes_payload(module, payload, n_lanes: int) -> VerifyResult:
     result.merge(verify_lowered_module(module, payload["graphs"]))
     result.merge(verify_generated_source(
         module, payload["graphs"], payload["source"], payload["consts"],
-        lanes=True, n_lanes=n_lanes, bounds=payload.get("bounds")))
+        lanes=True, n_lanes=n_lanes))
     return result

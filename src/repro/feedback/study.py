@@ -41,7 +41,7 @@ class StudyConfig:
     seed: int = 0
     unroll_factor: int = 2
     verify: bool = True
-    engine: str = DEFAULT_ENGINE  # simulation engine (compiled/reference)
+    engine: str = DEFAULT_ENGINE  # simulation engine (one of ENGINES)
     #: Input seeds batched through each compiled cell; ``None`` keeps the
     #: single-seed behavior (``seed``).  The first entry is primary.
     seeds: Optional[Tuple[int, ...]] = None

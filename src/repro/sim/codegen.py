@@ -120,14 +120,10 @@ class _FunctionEmitter:
     """Emits the Python source of one lowered graph."""
 
     def __init__(self, lg: _LoweredGraph, fn_name: str,
-                 fn_of_graph: Dict[str, str],
-                 safe_loads: frozenset = frozenset()):
+                 fn_of_graph: Dict[str, str]):
         self.lg = lg
         self.fn_name = fn_name
         self.fn_of_graph = fn_of_graph
-        #: ``id()``s of load words whose bounds proof allows dropping
-        #: the inline guard (see :mod:`repro.analysis.ranges`).
-        self.safe_loads = safe_loads
         self.lines: List[str] = []
         self.indent = 1
         #: objects that cannot be inlined as literals (operation function
@@ -235,12 +231,6 @@ class _FunctionEmitter:
         if op in _LOADS:
             index = self._operand(_LOADS[op], word[3])
             k = word[2]
-            if id(word) in self.safe_loads:
-                # Bounds proof carried in the payload: the index is a
-                # defined int provably inside [0, size), so the guard's
-                # then-branch is the only reachable arm.
-                self.emit(f"{r(word[1])} = a{k}.data[{index}]")
-                return
             self.emit(f"if 0 <= {index} < a{k}.size:")
             self.emit(f"    {r(word[1])} = a{k}.data[{index}]")
             self.emit("else:")
@@ -535,28 +525,6 @@ class _FunctionEmitter:
         return "\n".join([header] + self.lines) + "\n"
 
 
-def bounds_artifacts(module: GraphModule, lowered: LoweredModule,
-                     ranges_on: bool):
-    """``(certificate, premises, per-graph safe word-id sets)`` for the
-    emitters, or ``(None, {}, {})`` when range analysis is off.
-
-    The safe sets are keyed by graph name and contain the ``id()`` of
-    every load word whose emission key is entirely proven SAFE, so both
-    emitters elide guards on exactly the certificate's claims."""
-    if not ranges_on:
-        return None, {}, {}
-    from repro.analysis import ranges as _ranges
-    mranges = _ranges.analyze_lowered(module, lowered)
-    bounds = _ranges.module_certificates(lowered, mranges)
-    safe_ids: Dict[str, frozenset] = {}
-    for name, lg in lowered.graphs.items():
-        cert = bounds["graphs"].get(name)
-        indices = set() if cert is None else set(cert["safe"])
-        members = [w for w in lg.words if isinstance(w, list)]
-        safe_ids[name] = frozenset(id(members[i]) for i in indices)
-    return bounds, dict(bounds["premises"]), safe_ids
-
-
 class GeneratedModule:
     """All graphs of one :class:`GraphModule` as exec-compiled functions.
 
@@ -565,48 +533,32 @@ class GeneratedModule:
     profile-reconstruction tables (:meth:`_LoweredGraph.resolve_counters`)
     are reused unchanged.  ``source`` keeps the emitted Python text for
     inspection and tests.
-
-    With ``ranges_on`` (the default unless ``REPRO_RANGES=0``), the
-    range analysis runs over the lowered form and loads proven in
-    bounds are emitted unguarded; ``bounds`` then carries the proof
-    certificate for the payload and ``premises`` the global-scalar
-    values the proofs assume, validated at every run entry.
     """
 
-    def __init__(self, module: GraphModule, ranges_on: bool = None):
-        if ranges_on is None:
-            from repro.analysis.ranges import ranges_enabled
-            ranges_on = ranges_enabled()
-        lowered = lower_module(module)
-        bounds, premises, safe_ids = bounds_artifacts(
-            module, lowered, ranges_on)
+    def __init__(self, module: GraphModule):
+        # In-memory lowering only: the payload embeds the lowered graphs.
+        lowered = lower_module(module, _disk=False)
         fn_of_graph = {name: f"_f{i}"
                        for i, name in enumerate(lowered.graphs)}
         consts: Dict[str, object] = {}
         pieces: List[str] = []
         for name, lg in lowered.graphs.items():
-            emitter = _FunctionEmitter(lg, fn_of_graph[name], fn_of_graph,
-                                       safe_ids.get(name, frozenset()))
+            emitter = _FunctionEmitter(lg, fn_of_graph[name], fn_of_graph)
             pieces.append(emitter.build())
             for i, obj in enumerate(emitter.objs):
                 consts[f"_{fn_of_graph[name]}_K{i}"] = obj
         source = "\n".join(pieces)
         code = compile(source, f"<repro-codegen:{module.name}>", "exec")
-        self._assemble(module, lowered, source, consts, code, bounds)
+        self._assemble(module, lowered, source, consts, code)
 
     def _assemble(self, module: GraphModule, lowered: LoweredModule,
-                  source: str, consts: Dict[str, object], code,
-                  bounds=None) -> None:
+                  source: str, consts: Dict[str, object], code) -> None:
         """Exec *code* and wire the per-graph functions — the part both
         fresh generation and a disk-cache load perform identically."""
         self.module = module
         self.lowered = lowered
         self.source = source
         self.consts = consts
-        self.bounds = bounds
-        self.premises = {} if not isinstance(bounds, dict) \
-            else dict(bounds.get("premises", {}))
-        self._ranges_on = bounds is not None
         self._code = code
         self.fns: Dict[str, object] = {}
         namespace: Dict[str, object] = {
@@ -638,8 +590,7 @@ class GeneratedModule:
         blob = marshal.dumps(self._code)
         return {"graphs": self.lowered.graphs, "source": self.source,
                 "consts": self.consts, "code": blob,
-                "code_sha": hashlib.sha256(blob).hexdigest(),
-                "bounds": self.bounds}
+                "code_sha": hashlib.sha256(blob).hexdigest()}
 
     @classmethod
     def from_payload(cls, module: GraphModule,
@@ -663,13 +614,11 @@ class GeneratedModule:
         if code is None:
             code = compile(source, f"<repro-codegen:{module.name}>", "exec")
         self = cls.__new__(cls)
-        self._assemble(module, lowered, source, payload["consts"], code,
-                       payload.get("bounds"))
+        self._assemble(module, lowered, source, payload["consts"], code)
         return self
 
 
-def generate_module(module: GraphModule,
-                    ranges_on: bool = None) -> GeneratedModule:
+def generate_module(module: GraphModule) -> GeneratedModule:
     """Exec-compiled form of *module*, cached on the module itself.
 
     Same cache protocol as :func:`~repro.sim.engine.compile_module` and
@@ -685,28 +634,18 @@ def generate_module(module: GraphModule,
     the codegen and bytecode tiers keep agreeing on one lowering per
     module state.
     """
-    if ranges_on is None:
-        from repro.analysis.ranges import ranges_enabled
-        ranges_on = ranges_enabled()
     cached = module.__dict__.get("_codegen_cache")
-    if cached is not None and cached._ranges_on == ranges_on \
-            and _signature_matches(module, cached._signature):
+    if cached is not None and _signature_matches(module, cached._signature):
         return cached
     from repro.sim.diskcache import get_cache, module_digest
     cache = get_cache()
     digest = module_digest(module) if cache is not None else None
-    # Guard-eliminated and all-guarded artifacts live under distinct
-    # disk keys so flipping REPRO_RANGES (or a premise-violation
-    # fallback build) never serves the wrong variant.
-    store_key = None if digest is None \
-        else (digest if ranges_on else f"{digest}-noranges")
-    if store_key is not None:
-        payload = cache.load("codegen", store_key)
+    if digest is not None:
+        payload = cache.load("codegen", digest)
         if payload is not None and not _payload_verified(
-                module, "codegen", payload, cache, digest=store_key):
+                module, "codegen", payload, cache, digest=digest):
             payload = None
-        if payload is not None and \
-                (payload.get("bounds") is not None) == ranges_on:
+        if payload is not None:
             try:
                 generated = GeneratedModule.from_payload(module, payload)
             except Exception:
@@ -716,14 +655,9 @@ def generate_module(module: GraphModule,
                 module._codegen_cache = generated
                 module._lowered_cache = generated.lowered
                 return generated
+    generated = GeneratedModule(module)
     if digest is not None:
-        # Resolve the lowered form under the already-computed digest so
-        # GeneratedModule's internal lower_module call is an in-memory
-        # hit rather than a second digest walk.
-        lower_module(module, _digest=digest)
-    generated = GeneratedModule(module, ranges_on=ranges_on)
-    if store_key is not None:
-        cache.store("codegen", store_key, generated.disk_payload())
+        cache.store("codegen", digest, generated.disk_payload())
     module._codegen_cache = generated
     return generated
 
@@ -735,15 +669,6 @@ class CodegenEngine:
         self.module = module
         self.max_cycles = max_cycles
         self.generated = generate_module(module)
-        self._guarded_cache: GeneratedModule = None
-
-    def _guarded(self) -> GeneratedModule:
-        """The all-guarded build, for runs whose inputs violate the
-        guard-elimination premises (lazily built, same lowering)."""
-        if self._guarded_cache is None:
-            self._guarded_cache = generate_module(self.module,
-                                                  ranges_on=False)
-        return self._guarded_cache
 
     def run_batch(self, inputs_list: Sequence[Optional[Dict[str, Sequence]]]
                   ) -> List[MachineResult]:
@@ -768,16 +693,7 @@ class CodegenEngine:
         gmod = self.generated
 
         def call_entry(name, state):
-            fns = gmod.fns
-            if gmod.premises:
-                from repro.analysis.ranges import premises_hold
-                if not premises_hold(gmod.premises, state.globals):
-                    # Inputs overrode a premise scalar: the elided
-                    # guards are unproven for this run, so execute the
-                    # all-guarded build (bit-identical lowering, same
-                    # counters) instead.
-                    fns = self._guarded().fns
-            return fns[name]([], state)
+            return gmod.fns[name]([], state)
 
         return run_lowered_module(
             self.module, gmod.lowered, self.max_cycles, inputs, call_entry)

@@ -106,7 +106,9 @@ DISABLE_VALUE = "none"
 #: become plain misses.
 #: v2: codegen/lanes payloads gained the ``"bounds"`` proof-certificate
 #: entry (guard-eliminated loads + premises); v1 entries predate it.
-FORMAT_VERSION = 2
+#: v3: guard elimination removed — payloads lost ``"bounds"`` and the
+#: all-guarded ``-noranges`` key variants are gone.
+FORMAT_VERSION = 3
 
 #: Marshalled code objects are interpreter-specific; the tag partitions
 #: entries per CPython version (e.g. ``cpython-311``).
@@ -132,9 +134,8 @@ def _source_token() -> str:
     if _source_token_cache is None:
         h = hashlib.sha256()
         try:
-            from repro.analysis import ranges
             from repro.sim import bytecode, codegen, engine, lanes
-            for mod in (engine, bytecode, codegen, lanes, ranges):
+            for mod in (engine, bytecode, codegen, lanes):
                 with open(mod.__file__, "rb") as fh:
                     h.update(fh.read())
             _source_token_cache = h.hexdigest()[:12]

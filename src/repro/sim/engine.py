@@ -1799,8 +1799,7 @@ def _payload_verified(module, kind: str, payload, cache,
     return ok
 
 
-def lower_module(module: GraphModule,
-                 _digest: Optional[str] = None) -> LoweredModule:
+def lower_module(module: GraphModule, _disk: bool = True) -> LoweredModule:
     """Bytecode form of *module*, cached on the module itself.
 
     Same cache protocol as :func:`compile_module`: the lowered form is
@@ -1816,9 +1815,9 @@ def lower_module(module: GraphModule,
     lowered before skips the lowering walk entirely.  A fresh lowering
     is published back to disk for the next cold process.
 
-    ``_digest`` lets a caller that already computed the structural
-    digest for this exact module state (``generate_module``, whose
-    codegen entry shares the key) avoid a second digest walk.
+    ``_disk=False`` skips the disk tier: the codegen and lanes
+    generators embed the lowered graphs in their own entries, so a
+    ``bytecode`` entry stored on their behalf would never be read.
     """
     cached = module.__dict__.get("_lowered_cache")
     if cached is not None and _signature_matches(module, cached._signature):
@@ -1826,10 +1825,10 @@ def lower_module(module: GraphModule,
     # One cache handle for the whole miss: lookup, rebuild and store all
     # hit the same directory even if REPRO_CACHE is repointed mid-call.
     from repro.sim.diskcache import get_cache, module_digest
-    cache = get_cache()
+    cache = get_cache() if _disk else None
     digest = None
     if cache is not None:
-        digest = _digest if _digest is not None else module_digest(module)
+        digest = module_digest(module)
         payload = cache.load("bytecode", digest)
         if payload is not None and not _payload_verified(
                 module, "bytecode", payload, cache, digest=digest):

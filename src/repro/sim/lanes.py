@@ -60,8 +60,7 @@ from repro.cfg.graph import GraphModule
 from repro.sim import engine as _eng
 from repro.sim.codegen import (_BINF, _BINOPS, _LOADS, _MOV_CONSTS,
                                _MOV_REGS, _NEGS, _RETS, _STORES, _STORES_D,
-                               _UNFS, _is_terminal, _jump_slots,
-                               bounds_artifacts)
+                               _UNFS, _is_terminal, _jump_slots)
 from repro.sim.engine import (BR, CALL, CP, CP2, ERROR, INTRN, J, JB,
                               LoweredModule, RET_C, RET_N, RET_R, RET_S,
                               RETREAD, TEST, _LoweredGraph, _UNDEF,
@@ -136,15 +135,11 @@ class _LaneEmitter:
     """Emits the lane-parallel Python source of one lowered graph."""
 
     def __init__(self, lg: _LoweredGraph, fn_name: str,
-                 fn_of_graph: Dict[str, str], n_lanes: int,
-                 safe_loads: frozenset = frozenset()):
+                 fn_of_graph: Dict[str, str], n_lanes: int):
         self.lg = lg
         self.fn_name = fn_name
         self.fn_of_graph = fn_of_graph
         self.n_lanes = n_lanes
-        #: ``id()``s of load words whose bounds proof allows dropping
-        #: the inline guard (see :mod:`repro.analysis.ranges`).
-        self.safe_loads = safe_loads
         self.lines: List[str] = []
         self.indent = 1
         self.objs: List[object] = []
@@ -311,12 +306,6 @@ class _LaneEmitter:
         if op in _LOADS:
             index = self._operand(_LOADS[op], word[3])
             k = word[2]
-            if id(word) in self.safe_loads:
-                # Bounds proof carried in the payload: the index is a
-                # defined int provably inside [0, size), so the guard's
-                # then-branch is the only reachable arm.
-                self.emit(f"{v(word[1])} = w{k}.data[{index}]")
-                return
             self.emit(f"if 0 <= {index} < w{k}.size:")
             self.emit(f"    {v(word[1])} = w{k}.data[{index}]")
             self.emit("else:")
@@ -1073,43 +1062,32 @@ class LaneModule:
     """All graphs of one module as lane-parallel exec-compiled functions,
     specialized for one lane count (the width is inlined)."""
 
-    def __init__(self, module: GraphModule, n_lanes: int,
-                 ranges_on: bool = None):
-        if ranges_on is None:
-            from repro.analysis.ranges import ranges_enabled
-            ranges_on = ranges_enabled()
-        lowered = lower_module(module)
-        bounds, premises, safe_ids = bounds_artifacts(
-            module, lowered, ranges_on)
+    def __init__(self, module: GraphModule, n_lanes: int):
+        # In-memory lowering only: the payload embeds the lowered graphs.
+        lowered = lower_module(module, _disk=False)
         fn_of_graph = {name: f"_f{i}"
                        for i, name in enumerate(lowered.graphs)}
         consts: Dict[str, object] = {}
         pieces: List[str] = []
         for name, lg in lowered.graphs.items():
             emitter = _LaneEmitter(lg, fn_of_graph[name], fn_of_graph,
-                                   n_lanes,
-                                   safe_ids.get(name, frozenset()))
+                                   n_lanes)
             pieces.append(emitter.build())
             for i, obj in enumerate(emitter.objs):
                 consts[f"_{fn_of_graph[name]}_K{i}"] = obj
         source = "\n".join(pieces)
         code = compile(source, f"<repro-lanes:{module.name}:L{n_lanes}>",
                        "exec")
-        self._assemble(module, lowered, n_lanes, source, consts, code,
-                       bounds)
+        self._assemble(module, lowered, n_lanes, source, consts, code)
 
     def _assemble(self, module: GraphModule, lowered: LoweredModule,
                   n_lanes: int, source: str, consts: Dict[str, object],
-                  code, bounds=None) -> None:
+                  code) -> None:
         self.module = module
         self.lowered = lowered
         self.n_lanes = n_lanes
         self.source = source
         self.consts = consts
-        self.bounds = bounds
-        self.premises = {} if not isinstance(bounds, dict) \
-            else dict(bounds.get("premises", {}))
-        self._ranges_on = bounds is not None
         self._code = code
         self.fns: Dict[str, object] = {}
         namespace: Dict[str, object] = {
@@ -1136,8 +1114,7 @@ class LaneModule:
         blob = marshal.dumps(self._code)
         return {"graphs": self.lowered.graphs, "n_lanes": self.n_lanes,
                 "source": self.source, "consts": self.consts,
-                "code": blob, "code_sha": hashlib.sha256(blob).hexdigest(),
-                "bounds": self.bounds}
+                "code": blob, "code_sha": hashlib.sha256(blob).hexdigest()}
 
     @classmethod
     def from_payload(cls, module: GraphModule, payload: Dict[str, object],
@@ -1161,30 +1138,24 @@ class LaneModule:
                            f"<repro-lanes:{module.name}:L{n_lanes}>", "exec")
         self = cls.__new__(cls)
         self._assemble(module, lowered, n_lanes, source,
-                       payload["consts"], code, payload.get("bounds"))
+                       payload["consts"], code)
         return self
 
 
-def generate_lane_module(module: GraphModule, n_lanes: int,
-                         ranges_on: bool = None) -> LaneModule:
+def generate_lane_module(module: GraphModule, n_lanes: int) -> LaneModule:
     """The lane-parallel form of *module* for *n_lanes* seeds.
 
-    Cached per lane count and range-analysis variant on the module
-    itself (``_lanes_cache`` maps ``(n_lanes, ranges_on)`` to a
-    :class:`LaneModule`, validated by the usual streamed structural
-    signature and stripped at pickle boundaries), with the disk tier
-    below it under a lane-count-partitioned key — the same module
-    digest the bytecode/codegen entries use, suffixed with the width
-    (and ``-noranges`` for the all-guarded variant), since the emitted
-    source is width- and variant-specialized.
+    Cached per lane count on the module itself (``_lanes_cache`` maps
+    ``n_lanes`` to a :class:`LaneModule`, validated by the usual
+    streamed structural signature and stripped at pickle boundaries),
+    with the disk tier below it under a lane-count-partitioned key —
+    the same module digest the bytecode/codegen entries use, suffixed
+    with the width, since the emitted source is width-specialized.
     """
-    if ranges_on is None:
-        from repro.analysis.ranges import ranges_enabled
-        ranges_on = ranges_enabled()
     cache_map = module.__dict__.get("_lanes_cache")
     if cache_map is None:
         cache_map = module._lanes_cache = {}
-    cached = cache_map.get((n_lanes, ranges_on))
+    cached = cache_map.get(n_lanes)
     if cached is not None:
         if _signature_matches(module, cached._signature):
             return cached
@@ -1193,16 +1164,11 @@ def generate_lane_module(module: GraphModule, n_lanes: int,
     cache = get_cache()
     key = None
     if cache is not None:
-        digest = module_digest(module)
-        key = f"{digest}-L{n_lanes}" if ranges_on \
-            else f"{digest}-L{n_lanes}-noranges"
+        key = f"{module_digest(module)}-L{n_lanes}"
         payload = cache.load("lanes", key)
         if payload is not None and not _payload_verified(
                 module, "lanes", payload, cache, n_lanes=n_lanes,
                 digest=key):
-            payload = None
-        if payload is not None and \
-                (payload.get("bounds") is not None) != ranges_on:
             payload = None
         if payload is not None:
             lane_module = None
@@ -1212,16 +1178,13 @@ def generate_lane_module(module: GraphModule, n_lanes: int,
             except Exception:
                 cache.unusable("lanes")
             if lane_module is not None:
-                cache_map[(n_lanes, ranges_on)] = lane_module
+                cache_map[n_lanes] = lane_module
                 module._lowered_cache = lane_module.lowered
                 return lane_module
-        # Resolve the lowered form under the already-computed digest so
-        # LaneModule's internal lower_module call is an in-memory hit.
-        lower_module(module, _digest=digest)
-    lane_module = LaneModule(module, n_lanes, ranges_on=ranges_on)
+    lane_module = LaneModule(module, n_lanes)
     if key is not None:
         cache.store("lanes", key, lane_module.disk_payload())
-    cache_map[(n_lanes, ranges_on)] = lane_module
+    cache_map[n_lanes] = lane_module
     return lane_module
 
 
@@ -1284,20 +1247,8 @@ class LaneEngine:
                 state.fault[i] = exc
         lanes = [i for i in range(n_lanes) if state.fault[i] is None]
         if lanes:
-            fns = lane_module.fns
-            if lane_module.premises:
-                from repro.analysis.ranges import premises_hold
-                if not all(premises_hold(lane_module.premises,
-                                         globals_list[ln])
-                           for ln in lanes):
-                    # Some lane's inputs overrode a premise scalar: the
-                    # elided guards are unproven for this batch, so the
-                    # whole batch executes the all-guarded build
-                    # (bit-identical lowering, same counters).
-                    fns = generate_lane_module(module, n_lanes,
-                                               ranges_on=False).fns
             try:
-                fns[entry.name]([], lanes, 0, state)
+                lane_module.fns[entry.name]([], lanes, 0, state)
             except SimulationError as exc:
                 # Raises escaping the entry frame are group-wide by
                 # construction (its generated body converts per-lane

@@ -326,13 +326,19 @@ class GraphInterpreter:
 #: engines are differentially tested against.
 ENGINES = ("compiled", "bytecode", "codegen", "lanes", "reference")
 
-#: Environment variable overriding the default engine (CI runs the whole
-#: tier-1 suite under ``REPRO_ENGINE=bytecode``).
+#: Environment variable overriding the default engine (CI re-runs the
+#: whole tier-1 suite under ``REPRO_ENGINE=compiled``, ``bytecode`` and
+#: ``lanes``).
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 
 def _default_engine() -> str:
-    """The engine ``REPRO_ENGINE`` selects, or ``"compiled"``.
+    """The engine ``REPRO_ENGINE`` selects, or ``"codegen"``.
+
+    Codegen is the default because it is the fastest per-seed engine
+    end to end: ``explore-study --frontier``, whose per-design-point
+    compile-and-simulate loop is mostly simulation, takes a median
+    8.8 s on codegen against 25.6 s on ``compiled`` (2-vCPU VM).
 
     An invalid value is returned as-is rather than raised here: it
     surfaces as a clean "unknown engine" error (naming the variable) on
@@ -341,7 +347,7 @@ def _default_engine() -> str:
     """
     value = os.environ.get(ENGINE_ENV_VAR)
     if value is None or not value.strip():
-        return "compiled"
+        return "codegen"
     return value.strip()
 
 
@@ -445,8 +451,12 @@ def run_module_batch_auto(module: GraphModule,
 
     Batches of at least :data:`LANE_SHARD_MIN` seeds on a per-seed
     engine (compiled/bytecode/codegen) are executed as a single
-    lane-parallel pass instead — bit-identical results (every engine
-    agrees), integer-factor faster.  An explicit ``engine="lanes"``
+    lane-parallel pass instead, with bit-identical results (every engine
+    agrees).  The upgrade is not a measured speed-up: in
+    ``benchmarks/results/bench_lanes.json`` one 8-seed lane batch is
+    slower than 8 codegen runs on 5 of the 6 paired legs (edge L2:
+    31.2 ms vs 25.2 ms; only sewha L1 is faster, 1.02 vs 1.12 ms).
+    An explicit ``engine="lanes"``
     stays lanes at any size, and ``"reference"`` is never upgraded: the
     oracle must keep measuring what it is asked to measure.
     """

@@ -6,8 +6,8 @@ additionally check semantic preservation against the unoptimized program
 (the optimized graph must produce bit-identical outputs).
 
 A run may cover several input seeds at once (``seeds=``): the optimized
-graph is compiled to the simulator's closure-specialized form once and
-every seed's input set is batched through it
+graph is compiled once for the selected engine and every seed's input
+set is batched through it
 (:func:`~repro.sim.machine.run_module_batch_auto`, which runs big
 batches as one lane-parallel pass).  The first seed is the
 *primary* — its result feeds sequence detection and the reported cycle

@@ -492,9 +492,9 @@ class TestEngineSelection:
         monkeypatch.setenv("REPRO_ENGINE", "bytecode")
         assert _default_engine() == "bytecode"
         monkeypatch.setenv("REPRO_ENGINE", "")
-        assert _default_engine() == "compiled"
+        assert _default_engine() == "codegen"
         monkeypatch.delenv("REPRO_ENGINE")
-        assert _default_engine() == "compiled"
+        assert _default_engine() == "codegen"
 
     def test_env_var_invalid_surfaces_at_run(self, monkeypatch):
         """An invalid REPRO_ENGINE is not an import-time crash: it raises

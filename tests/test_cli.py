@@ -335,7 +335,8 @@ class TestCacheCommand:
         assert code == 0
         code, text = run_cli("cache", "show", "--cache-dir", cache_dir)
         assert code == 0
-        assert "bytecode" in text and "codegen" in text
+        # codegen entries embed their lowering: no bytecode entry
+        assert "codegen" in text and "bytecode" not in text
         code, text = run_cli("cache", "clear", "--cache-dir", cache_dir)
         assert code == 0
         assert "removed" in text

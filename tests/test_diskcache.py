@@ -355,8 +355,10 @@ class TestLifecycle:
 
     def test_worker_processes_share_the_cache(self, cache_dir):
         # A jobs=2 study on the codegen engine: pool workers inherit
-        # REPRO_CACHE and publish their lowered/generated forms, so the
+        # REPRO_CACHE and publish their generated forms, so the
         # parent-side cache directory fills up from worker processes.
+        # Codegen entries embed their lowering, so no bytecode entry is
+        # written alongside them.
         # The persistent pool snapshots the environment when its workers
         # fork, so it is recycled around this test's private directory.
         from repro.exec.pool import shutdown_pool
@@ -366,7 +368,7 @@ class TestLifecycle:
             run_study(StudyConfig(benchmarks=("sewha", "dft"), jobs=2,
                                   engine="codegen"))
             kinds = {kind for kind, _ in get_cache().entries()}
-            assert kinds == {"bytecode", "codegen"}
+            assert kinds == {"codegen"}
         finally:
             shutdown_pool()
 

@@ -1,17 +1,13 @@
-"""Value-range abstract interpretation and bounds-guard elimination.
+"""Value-range abstract interpretation as a static verifier.
 
-Covers the interval domain in isolation, the whole-module analysis and
-its proof certificates, the independent re-checker, the sweep/CLI
-surface (``repro verify --ranges`` / ``--json``) and the runtime
-contract: guard-eliminated artifacts stay bit-identical to the guarded
-ones, and a violated premise falls back to the guarded build.
+Covers the interval domain in isolation, the whole-module analysis, the
+sweep/CLI surface (``repro verify --ranges`` / ``--json``) and the
+contract that code generation never runs the analysis.
 """
 
 from __future__ import annotations
 
 import json
-
-import pytest
 
 from repro.analysis import ranges as R
 from repro.analysis.sweep import report_json, run_sweep
@@ -55,15 +51,6 @@ int main() {
     return x[12];
 }
 """
-
-
-def _inputs():
-    import random
-    rng = random.Random(7)
-    return {
-        "x": [rng.uniform(-1, 1) for _ in range(40)],
-        "h": [rng.uniform(-1, 1) for _ in range(8)],
-    }
 
 
 def _graph_module(source=FIR_LIKE_SOURCE, level=2, name="t"):
@@ -146,61 +133,6 @@ class TestModuleAnalysis:
         assert proof.index_interval == (12, 12)
         assert proof.length == 8
 
-    def test_certificate_roundtrip_verifies(self):
-        gm = _graph_module()
-        from repro.sim.engine import lower_module
-        lowered = lower_module(gm)
-        mranges = R.analyze_lowered(gm, lowered)
-        cert = R.module_certificates(lowered, mranges)
-        verified, problems = R.check_bounds_payload(
-            gm, lowered.graphs, cert)
-        assert problems == []
-        for name, cg in cert["graphs"].items():
-            assert set(cg["safe"]) == verified[name]
-
-    def test_tampered_certificate_interval_rejected(self):
-        gm = _graph_module()
-        from repro.sim.engine import lower_module
-        lowered = lower_module(gm)
-        mranges = R.analyze_lowered(gm, lowered)
-        cert = R.module_certificates(lowered, mranges)
-        name = next(n for n, cg in cert["graphs"].items() if cg["envs"])
-        envs = cert["graphs"][name]["envs"]
-        idx = next(iter(envs))
-        slot = next(iter(envs[idx]))
-        envs[idx][slot] = [0, 0]  # claim tighter than the flow supports
-        verified, problems = R.check_bounds_payload(
-            gm, lowered.graphs, cert)
-        assert problems  # no longer inductive
-
-    def test_fabricated_premise_rejected(self):
-        gm = _graph_module()
-        from repro.sim.engine import lower_module
-        lowered = lower_module(gm)
-        mranges = R.analyze_lowered(gm, lowered)
-        cert = R.module_certificates(lowered, mranges)
-        cert["premises"]["nonexistent"] = 4
-        verified, problems = R.check_bounds_payload(
-            gm, lowered.graphs, cert)
-        assert problems
-
-    def test_premises_hold_checks_storage(self):
-        gm = _graph_module()
-        mranges = R.analyze_module(gm)
-        premises = dict(mranges.premises)
-        assert premises
-        state = run_module(gm, _inputs(), engine="reference")
-        # globals_after maps name -> list of values
-        class _S:  # ArrayStorage stand-in
-            def __init__(self, data):
-                self.data = data
-        globals_ = {name: _S(list(values))
-                    for name, values in state.globals_after.items()}
-        assert R.premises_hold(premises, globals_)
-        name = next(iter(premises))
-        globals_[name].data[0] += 1
-        assert not R.premises_hold(premises, globals_)
-
 
 # -- sweep / CLI surface -----------------------------------------------------------
 
@@ -250,7 +182,7 @@ class TestVerifySurface:
         assert doc["ok"] is True and doc["ranges"]
 
 
-# -- runtime: elision is bit-identical, premises gate it ---------------------------
+# -- generation path: the analysis never runs ------------------------------------
 
 
 def _same_result(a, b):
@@ -259,58 +191,39 @@ def _same_result(a, b):
     assert vars(a.profile) == vars(b.profile)
 
 
-class TestGuardElimination:
-    @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_codegen_elides_and_matches_reference(self, level,
-                                                  monkeypatch):
-        gm = _graph_module(level=level)
-        generated = generate_module(gm)
-        assert generated.bounds is not None
-        # at least one load goes out unguarded under a proof
-        assert any(cg["safe"]
-                   for cg in generated.bounds["graphs"].values())
-        inputs = _inputs()
-        reference = run_module(gm, inputs, engine="reference")
-        _same_result(run_module(gm, inputs, engine="codegen"), reference)
-        # escape hatch: REPRO_RANGES=0 builds the fully guarded variant
-        monkeypatch.setenv(R.RANGES_ENV_VAR, "0")
-        gm2 = _graph_module(level=level)
-        guarded = generate_module(gm2)
-        assert guarded.bounds is None
-        _same_result(run_module(gm2, inputs, engine="codegen"),
-                     reference)
+def test_generation_never_runs_range_analysis(monkeypatch, tmp_path):
+    """Codegen and lanes generate and run fir L2 with the analysis
+    broken; both still match the reference oracle."""
+    from repro.sim import diskcache
+    from repro.suite.registry import get_benchmark
+    from repro.suite.runner import compile_benchmark
 
-    def test_lanes_elide_and_match(self):
-        gm = _graph_module()
-        lm = generate_lane_module(gm, 4)
-        assert lm.bounds is not None
-        batch = [_inputs() for _ in range(4)]
-        for seed, inputs in enumerate(batch):
-            inputs["x"][0] += seed
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("range analysis ran during generation")
+
+    monkeypatch.setattr(R, "analyze_lowered", refuse)
+    # An empty cache: every module below is generated, not loaded.
+    monkeypatch.setenv(diskcache.CACHE_ENV_VAR, str(tmp_path))
+    diskcache.reset_cache_state()
+    try:
+        spec = get_benchmark("fir")
+        batch = [spec.generate_inputs(seed) for seed in range(3)]
+
+        def fresh():
+            gm, _ = optimize_module(compile_benchmark(spec), OptLevel(2))
+            return gm
+
+        gm = fresh()
+        generate_module(gm)
+        _same_result(run_module(gm, batch[0], engine="codegen"),
+                     run_module(fresh(), batch[0], engine="reference"))
+        gm = fresh()
+        generate_lane_module(gm, len(batch))
         lanes = run_module_batch(gm, batch, engine="lanes")
-        singles = [run_module(gm, inputs, engine="reference")
-                   for inputs in batch]
-        for got, want in zip(lanes, singles):
-            _same_result(got, want)
-
-    def test_premise_violation_falls_back_guarded(self):
-        # taps=4 contradicts the analyzed premise taps=8: the runtime
-        # check must reject the certificate and take the guarded build,
-        # still bit-identical to the reference engine
-        gm = _graph_module()
-        inputs = _inputs()
-        inputs["taps"] = [4]
-        reference = run_module(gm, inputs, engine="reference")
-        _same_result(run_module(gm, inputs, engine="codegen"), reference)
-        batch = [dict(inputs) for _ in range(3)]
-        lanes = run_module_batch(gm, batch, engine="lanes")
-        for got in lanes:
-            _same_result(got, reference)
-
-    def test_unguarded_source_really_differs(self):
-        gm = _graph_module()
-        elided = generate_module(gm, ranges_on=True)
-        guarded = generate_module(gm, ranges_on=False)
-        assert elided.source != guarded.source
-        assert guarded.source.count("if 0 <= ") \
-            > elided.source.count("if 0 <= ")
+        for got, inputs in zip(lanes, batch):
+            _same_result(got, run_module(fresh(), inputs,
+                                         engine="reference"))
+        stores = diskcache.get_cache().stores
+        assert stores["codegen"] == 1 and stores["lanes"] == 1
+    finally:
+        diskcache.reset_cache_state()

@@ -321,33 +321,30 @@ class TestCodegenSourceMutations:
 class TestLanesSourceMutations:
     def _parts(self, gm, n_lanes=4):
         lm = generate_lane_module(gm, n_lanes)
-        return lm.lowered.graphs, lm.source, lm.consts, lm.bounds
+        return lm.lowered.graphs, lm.source, lm.consts
 
     def test_deleted_counter_fold(self):
         gm = _graph_module()
-        graphs, source, consts, bounds = self._parts(gm)
+        graphs, source, consts = self._parts(gm)
         lines = source.splitlines()
         idx = next(i for i, line in enumerate(lines)
                    if "_a[" in line and "+=" in line)
         mutated = "\n".join(lines[:idx] + lines[idx + 1:])
         result = verify_generated_source(gm, graphs, mutated, consts,
-                                         lanes=True, n_lanes=4,
-                                         bounds=bounds)
+                                         lanes=True, n_lanes=4)
         assert "counter-fold" in _invariants(result)
 
     def test_reconvergence_respects_block_starts(self):
         gm = _graph_module()
-        graphs, source, consts, bounds = self._parts(gm)
+        graphs, source, consts = self._parts(gm)
         clean = verify_generated_source(gm, graphs, source, consts,
-                                        lanes=True, n_lanes=4,
-                                        bounds=bounds)
+                                        lanes=True, n_lanes=4)
         assert clean.ok
         # Pretend the emitter produced a single block: every branch
         # postdominator now falls mid-block and must be flagged.
         override = {name: [0] for name in graphs}
         result = verify_generated_source(gm, graphs, source, consts,
                                          lanes=True, n_lanes=4,
-                                         bounds=bounds,
                                          starts_override=override)
         assert "lanes-reconvergence" in _invariants(result)
 
@@ -426,82 +423,6 @@ class TestVerifyOnLoad:
         cache = diskcache.get_cache()
         assert cache.rejected["bytecode"] == 1
         assert verify_lowered_module(gm2, gm2._lowered_cache).ok
-
-    def test_stripped_bounds_certificate_rejected(self, verified_cache):
-        generated = generate_module(_graph_module())
-        assert generated.bounds is not None
-        [path] = _entry_paths("codegen")
-
-        def strip(payload):
-            assert payload["bounds"] is not None
-            payload["bounds"] = None
-
-        _rewrite(path, strip)
-        diskcache.reset_cache_state()
-        gm = _graph_module()
-        regenerated = generate_module(gm)
-        cache = diskcache.get_cache()
-        # the unguarded loads now lack any proof: rejected, regenerated
-        assert cache.rejected["codegen"] == 1
-        assert cache.stores["codegen"] == 1
-        assert regenerated.bounds is not None
-        assert verify_generated_module(gm, regenerated).ok
-
-    def test_corrupted_bounds_certificate_rejected(self, verified_cache):
-        generate_module(_graph_module())
-        [path] = _entry_paths("codegen")
-
-        def shrink_claim(payload):
-            cert = next(cg for cg in payload["bounds"]["graphs"].values()
-                        if cg["envs"])
-            idx = sorted(cert["envs"])[0]
-            slot = sorted(cert["envs"][idx])[0]
-            # tighter than the flow supports: no longer inductive
-            cert["envs"][idx][slot] = [0, 0]
-
-        _rewrite(path, shrink_claim)
-        diskcache.reset_cache_state()
-        gm = _graph_module()
-        regenerated = generate_module(gm)
-        cache = diskcache.get_cache()
-        assert cache.rejected["codegen"] == 1
-        assert cache.stores["codegen"] == 1
-        assert verify_generated_module(gm, regenerated).ok
-
-    def test_inflated_safe_set_rejected(self, verified_cache):
-        generate_module(_graph_module())
-        [path] = _entry_paths("codegen")
-
-        def claim_everything_safe(payload):
-            graphs = payload["graphs"]
-            for name, cg in payload["bounds"]["graphs"].items():
-                n = sum(1 for w in graphs[name].words
-                        if isinstance(w, list))
-                cg["safe"] = list(range(n))
-
-        _rewrite(path, claim_everything_safe)
-        diskcache.reset_cache_state()
-        gm = _graph_module()
-        regenerated = generate_module(gm)
-        cache = diskcache.get_cache()
-        assert cache.rejected["codegen"] == 1
-        assert verify_generated_module(gm, regenerated).ok
-
-    def test_stripped_lane_bounds_rejected(self, verified_cache):
-        generate_lane_module(_graph_module(), 4)
-        [path] = _entry_paths("lanes")
-
-        def strip(payload):
-            assert payload["bounds"] is not None
-            payload["bounds"] = None
-
-        _rewrite(path, strip)
-        diskcache.reset_cache_state()
-        gm = _graph_module()
-        regenerated = generate_lane_module(gm, 4)
-        cache = diskcache.get_cache()
-        assert cache.rejected["lanes"] == 1
-        assert verify_lane_module(gm, regenerated).ok
 
     def test_cache_scan_reports_corrupt_entry(self, verified_cache):
         generate_module(_graph_module())
