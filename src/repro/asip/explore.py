@@ -10,8 +10,8 @@ that maximizes measured speedup:
 3. enumerate candidate subsets under the budget (the candidate list is
    small, so exhaustive enumeration with the additive estimate is exact for
    the estimator), keep the top few plus the greedy value-density pick;
-4. *measure* each finalist with
-   :func:`~repro.asip.evaluate.evaluate_on_sequential` and return the
+4. *measure* the finalists with
+   :func:`~repro.asip.evaluate.measure_chain_sets` and return the
    measured winner.
 
 This is deliberately a two-stage estimate-then-measure loop: the estimate
@@ -28,14 +28,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.asip.cost import CostModel, DEFAULT_COST_MODEL
-from repro.asip.evaluate import AsipEvaluation, evaluate_on_sequential
+from repro.asip.evaluate import AsipEvaluation, measure_chain_sets
 from repro.asip.isa import ChainedInstruction, InstructionSet
 from repro.asip.resequence import resequence_module
 from repro.chaining.detect import detect_sequences
 from repro.chaining.frequency import dynamic_frequency
 from repro.chaining.sequence import SequenceName, sequence_label
 from repro.errors import AsipError
-from repro.exec.pool import parallel_map
 from repro.ir.module import Module
 from repro.opt.pipeline import OptLevel, optimize_module
 from repro.sim.machine import DEFAULT_ENGINE, run_module
@@ -103,16 +102,6 @@ def _isa_for(patterns: Sequence[SequenceName],
     for pattern in patterns:
         isa.add_chain(ChainedInstruction.from_sequence(pattern))
     return isa
-
-
-def _measure_finalist(task) -> Tuple[InstructionSet, AsipEvaluation]:
-    """Measure one finalist ISA (module-level: runs in pool workers)."""
-    sequential, patterns, inputs, cost, base_result, engine = task
-    isa = _isa_for(patterns, cost)
-    evaluation = evaluate_on_sequential(sequential, isa, inputs, cost,
-                                        base_result=base_result,
-                                        engine=engine)
-    return isa, evaluation
 
 
 # -- the estimate-then-measure stages, exposed for the suite-wide executor --------
@@ -201,11 +190,11 @@ def explore_designs(module: Module,
                     jobs: Optional[int] = None) -> ExplorationResult:
     """Run the full feedback-driven exploration for one benchmark.
 
-    ``jobs`` parallelizes stage 2, the finalist measurements — each
-    finalist's chain selection and simulation is independent given the
-    shared base-processor result, so they fan out across a process pool.
-    The measured design points come back in the same deterministic
-    finalist order as the serial loop (``jobs=None``/1, bit-identical).
+    ``jobs`` parallelizes stage 2, the finalist measurements: the
+    distinct fused programs (finalists that fuse the same sites share
+    one) are simulated on a process pool.  The
+    measured design points come back in the same deterministic finalist
+    order as the serial loop (``jobs=None``/1, bit-identical).
     """
     from repro.sim.machine import ensure_engine
     ensure_engine(engine)  # before the pipeline, not deep in a worker
@@ -225,21 +214,15 @@ def explore_designs(module: Module,
     # greedy value-density pick.
     combos = select_finalists(candidates, area_budget, measure_top)
 
-    # Stage 2: measure each finalist on the simulator.  Every finalist
-    # shares the same unchained base processor, so simulate it exactly once
-    # and hand the cached result to each evaluation; the compiled engine
-    # additionally reuses the base module's compilation across finalists.
-    # With jobs > 1 the finalists are measured on a process pool.
+    # Stage 2: measure the finalists on the simulator.  The kernel runs
+    # the unchained base processor once and each distinct fused program
+    # once, however many finalists share it.
     sequential = resequence_module(graph_module)
-    base_result = run_module(sequential, inputs, engine=engine)
-    patterns = [tuple(candidates[idx].pattern for idx in combo)
-                for combo in combos]
-    measured = parallel_map(
-        _measure_finalist,
-        [(sequential, pats, inputs, cost, base_result, engine)
-         for pats in patterns],
-        jobs=jobs)
-    for isa, evaluation in measured:
+    isas = [_isa_for([candidates[idx].pattern for idx in combo], cost)
+            for combo in combos]
+    measured = measure_chain_sets(sequential, isas, [inputs], cost,
+                                  engine=engine, jobs=jobs)
+    for isa, (evaluation,) in zip(isas, measured):
         result.measured.append(DesignPoint(isa=isa, evaluation=evaluation))
     return result
 

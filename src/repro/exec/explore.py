@@ -49,9 +49,7 @@ from __future__ import annotations
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.asip.cost import DEFAULT_COST_MODEL
-from repro.asip.evaluate import (AsipEvaluation, evaluate_on_sequential,
-                                 evaluate_on_sequential_batch,
-                                 merge_evaluations)
+from repro.asip.evaluate import measure_chain_sets, merge_evaluations
 from repro.asip.explore import (DesignPoint, ExplorationResult, _isa_for,
                                 candidate_pool, frontier_sweep,
                                 rank_candidates, select_finalists)
@@ -150,34 +148,23 @@ def _measure_pattern_sets(name: str, level: int,
                           ) -> Tuple:
     """Measure each chain set of *pattern_sets* on one seed slice.
 
-    The shared measurement kernel of both executor shapes: a budget
-    cell measures its finalist subsets, a frontier chunk measures its
-    slice of the deduplicated breakpoint chain sets — same inputs, same
-    base results, same ``(isa, per-seed evaluations)`` tuples out, in
-    the order given.
+    The shared measurement step of both executor shapes: a budget cell
+    measures its finalist subsets, a frontier chunk measures its slice
+    of the deduplicated breakpoint chain sets — same inputs, same base
+    results, same ``(isa, per-seed evaluations)`` tuples out, in the
+    order given.  :func:`~repro.asip.evaluate.measure_chain_sets`
+    simulates each distinct fused program among them once.
     """
     sequential, _mapping = _sequential_module(name, level, unroll_factor)
     spec = get_benchmark(name)
-    cost = DEFAULT_COST_MODEL
-    # Input sets are chain-set-invariant: generate them once per task,
-    # not once per finalist (the serial loop shares one inputs dict too).
-    if shard is None:
-        inputs = spec.generate_inputs(seed)
-    else:
-        inputs_list = [spec.generate_inputs(s) for s in shard]
-    measured = []
-    for patterns in pattern_sets:
-        isa = _isa_for(patterns, cost)
-        if shard is None:
-            evals: Tuple[AsipEvaluation, ...] = (evaluate_on_sequential(
-                sequential, isa, inputs, cost,
-                base_result=base_results[0], engine=engine),)
-        else:
-            evals = evaluate_on_sequential_batch(
-                sequential, isa, inputs_list, cost,
-                base_results=base_results, engine=engine)
-        measured.append((isa, evals))
-    return tuple(measured)
+    inputs_list = [spec.generate_inputs(s)
+                   for s in (shard if shard is not None else (seed,))]
+    isas = [_isa_for(patterns, DEFAULT_COST_MODEL)
+            for patterns in pattern_sets]
+    measured = measure_chain_sets(sequential, isas, inputs_list,
+                                  DEFAULT_COST_MODEL,
+                                  base_results=base_results, engine=engine)
+    return tuple(zip(isas, measured))
 
 
 def _measure_cell(name: str, level: int, budget: int,
